@@ -1,8 +1,15 @@
 #include "sim/cache.hh"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
+#include <mutex>
+#include <new>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace ccnuma::sim {
 
@@ -16,7 +23,96 @@ log2Exact(std::uint64_t v)
     return std::countr_zero(v);
 }
 
+/**
+ * Process-wide pool of all-zero way arrays, keyed by byte size. Arrays
+ * are anonymous mappings: a new one costs no page-touching, and a
+ * recycled one was zeroed chunk by chunk by the cache that gave it
+ * back. Unmapping per Machine would instead pay page faults and TLB
+ * shootdowns on every run, so arrays are recycled up to
+ * Cache::kPoolCapBytes of idle bytes and unmapped beyond it.
+ */
+class WayPool
+{
+  public:
+    void*
+    take(std::size_t bytes)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = idle_.find(bytes);
+            if (it != idle_.end() && !it->second.empty()) {
+                void* p = it->second.back();
+                it->second.pop_back();
+                idleBytes_ -= bytes;
+                return p;
+            }
+        }
+        void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return p;
+    }
+
+    /// `p` must be all-zero.
+    void
+    give(void* p, std::size_t bytes) noexcept
+    {
+        if (!keep(p, bytes))
+            ::munmap(p, bytes);
+    }
+
+    std::uint64_t
+    idleBytes()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return idleBytes_;
+    }
+
+  private:
+    /// Record `p` as idle unless that would pass the cap.
+    bool
+    keep(void* p, std::size_t bytes) noexcept
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (idleBytes_ + bytes > Cache::kPoolCapBytes)
+            return false;
+        try {
+            idle_[bytes].push_back(p);
+        } catch (const std::bad_alloc&) {
+            return false;
+        }
+        idleBytes_ += bytes;
+        return true;
+    }
+
+    std::mutex mu_;
+    std::unordered_map<std::size_t, std::vector<void*>> idle_;
+    std::uint64_t idleBytes_ = 0;
+};
+
+/// Never destroyed, so caches that outlive static destruction (a
+/// static Machine) can still give their arrays back.
+WayPool&
+wayPool()
+{
+    static WayPool* pool = new WayPool;
+    return *pool;
+}
+
 } // namespace
+
+void
+Cache::WayGive::operator()(Way* p) const
+{
+    wayPool().give(p, bytes);
+}
+
+std::uint64_t
+Cache::pooledBytes()
+{
+    return wayPool().idleBytes();
+}
 
 Cache::Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
              const Protocol* proto)
@@ -26,11 +122,12 @@ Cache::Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
 {
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         throw std::invalid_argument("cache set count must be a power of 2");
-    ways_.reset(static_cast<Way*>(
-        std::calloc(sets_ * static_cast<std::uint64_t>(assoc_),
-                    sizeof(Way))));
-    if (!ways_)
-        throw std::bad_alloc();
+    const std::uint64_t chunks = (numWays() + kChunkWays - 1) / kChunkWays;
+    filled_.assign((chunks + 63) / 64, 0);
+    const std::size_t array_bytes = numWays() * sizeof(Way);
+    ways_ = std::unique_ptr<Way[], WayGive>(
+        static_cast<Way*>(wayPool().take(array_bytes)),
+        WayGive{array_bytes});
     const Protocol& pr = proto ? *proto : Protocol::mesi();
     for (int s = 1; s < kProtoStates; ++s) {
         switch (pr.req[kProtoWrite][s].next) {
@@ -90,21 +187,33 @@ Cache::setState(Addr addr, LineState st)
         w->state = st;
 }
 
+Cache::~Cache()
+{
+    zeroFilled();
+}
+
+void
+Cache::zeroFilled()
+{
+    forEachFilledChunk([this](std::uint64_t first, std::uint64_t end) {
+        std::memset(static_cast<void*>(&ways_[first]), 0,
+                    (end - first) * sizeof(Way));
+    });
+    std::fill(filled_.begin(), filled_.end(), 0);
+}
+
 std::uint64_t
 Cache::residentLines() const
 {
     std::uint64_t n = 0;
-    for (std::uint64_t i = 0; i < sets_ * assoc_; ++i)
-        if (ways_[i].state != LineState::Invalid)
-            ++n;
+    forEachLine([&n](Addr, LineState) { ++n; });
     return n;
 }
 
 void
 Cache::reset()
 {
-    for (std::uint64_t i = 0; i < sets_ * assoc_; ++i)
-        ways_[i].state = LineState::Invalid;
+    zeroFilled();
     useClock_ = 0;
 }
 

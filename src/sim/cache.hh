@@ -11,10 +11,12 @@
 #ifndef CCNUMA_SIM_CACHE_HH
 #define CCNUMA_SIM_CACHE_HH
 
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "sim/protocol.hh"
 #include "sim/types.hh"
@@ -43,6 +45,10 @@ struct CacheResult {
 /**
  * One processor's L2 cache. Addresses are full byte addresses; the cache
  * works internally on line numbers (addr >> lineShift).
+ *
+ * The way array comes from a process-wide pool of all-zero arrays (see
+ * Way), so building and destroying a cache costs only the sets a run
+ * filled, not its capacity.
  */
 class Cache
 {
@@ -57,6 +63,19 @@ class Cache
      */
     Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
           const Protocol* proto = nullptr);
+    /// Zeroes the chunks this cache filled and returns the array to
+    /// the pool.
+    ~Cache();
+    Cache(const Cache&) = delete;
+    Cache& operator=(const Cache&) = delete;
+
+    /// Cap on the bytes of idle arrays the pool keeps: four
+    /// 128-processor machines of 4 MB L2s. Arrays released beyond it
+    /// are unmapped.
+    static constexpr std::uint64_t kPoolCapBytes = std::uint64_t{256}
+                                                   << 20;
+    /// Bytes of idle way arrays in the process-wide pool now.
+    static std::uint64_t pooledBytes();
 
     /// Look up a line; allocates (Shared on read, Dirty on write) on
     /// miss. Defined inline below: the lookup and victim scan are fused
@@ -93,15 +112,18 @@ class Cache
     std::uint64_t residentLines() const;
 
     /// Call fn(lineBaseAddr, state) for every valid line (validation).
+    /// Visits only the chunks this cache ever filled.
     template <typename Fn>
     void
     forEachLine(Fn&& fn) const
     {
-        for (std::uint64_t i = 0; i < sets_ * assoc_; ++i) {
-            const Way& w = ways_[i];
-            if (w.state != LineState::Invalid)
-                fn(w.line << lineShift_, w.state);
-        }
+        forEachFilledChunk([&](std::uint64_t first, std::uint64_t end) {
+            for (std::uint64_t i = first; i < end; ++i) {
+                const Way& w = ways_[i];
+                if (w.state != LineState::Invalid)
+                    fn(w.line << lineShift_, w.state);
+            }
+        });
     }
 
     /// Drop every line, as if by a full flush; no writebacks are modelled
@@ -109,20 +131,60 @@ class Cache
     void reset();
 
   private:
-    /// Trivial, and meaningful when all-zero (LineState::Invalid == 0):
-    /// the backing array comes from calloc, so a freshly built cache
-    /// costs no page-touching — the kernel's zero pages fault in only
-    /// for the sets a run actually reaches. (A 4 MB L2 at 128
-    /// processors is tens of MB of Way state per machine; small runs
-    /// touch a sliver of it.)
+    /// Trivial, and meaningful when all-zero (LineState::Invalid == 0).
+    /// A 4 MB L2 is 512 KB of Way state, 64 MB per 128-processor
+    /// machine, and a short run touches a sliver of it. calloc would
+    /// lazy-zero only fresh memory; recycled heap it memsets in full.
+    /// So the array comes from a pool of all-zero arrays (anonymous
+    /// mmap, recycled, never returned to the heap), the cache records
+    /// in `filled_` each kChunkBytes chunk in which it filled an
+    /// Invalid way, and it zeroes just those chunks before giving the
+    /// array back.
     struct Way {
         std::uint64_t line;
         LineState state;
         std::uint32_t lastUse;
     };
-    struct WayFree {
-        void operator()(Way* p) const { std::free(p); }
+    /// Returns an all-zero array of `bytes` to the pool.
+    struct WayGive {
+        std::size_t bytes;
+        void operator()(Way* p) const;
     };
+
+    /// One page of ways; the unit `filled_` tracks and teardown zeroes.
+    static constexpr std::uint64_t kChunkBytes = 4096;
+    static constexpr std::uint64_t kChunkWays = kChunkBytes / sizeof(Way);
+    static_assert(kChunkBytes % sizeof(Way) == 0);
+
+    std::uint64_t numWays() const { return sets_ * assoc_; }
+
+    /// Record that `w`, an Invalid way, is being filled.
+    void
+    markFilled(const Way* w)
+    {
+        const auto chunk =
+            static_cast<std::uint64_t>(w - ways_.get()) / kChunkWays;
+        filled_[chunk / 64] |= std::uint64_t{1} << (chunk % 64);
+    }
+
+    /// Call fn(firstWay, endWay) for every chunk in `filled_`.
+    template <typename Fn>
+    void
+    forEachFilledChunk(Fn&& fn) const
+    {
+        for (std::size_t word = 0; word < filled_.size(); ++word) {
+            for (std::uint64_t bits = filled_[word]; bits != 0;
+                 bits &= bits - 1) {
+                const std::uint64_t first =
+                    (word * 64 + std::countr_zero(bits)) * kChunkWays;
+                const std::uint64_t end = first + kChunkWays;
+                fn(first, end < numWays() ? end : numWays());
+            }
+        }
+    }
+
+    /// Zero every filled chunk and clear `filled_`.
+    void zeroFilled();
 
     std::uint64_t setIndex(std::uint64_t line) const
     {
@@ -149,7 +211,9 @@ class Cache
     std::uint64_t sets_;
     int assoc_;
     std::uint32_t useClock_ = 0;
-    std::unique_ptr<Way[], WayFree> ways_; ///< sets_*assoc_, set-major.
+    /// Bit per chunk of `ways_`: set once an Invalid way in it is filled.
+    std::vector<std::uint64_t> filled_;
+    std::unique_ptr<Way[], WayGive> ways_; ///< sets_*assoc_, set-major.
 
     /// Resolved req[write][state].next per current state, applied
     /// inline on a write hit; LineState::Invalid means "leave
@@ -215,6 +279,8 @@ Cache::access(Addr addr, bool is_write)
     if (victim->state != LineState::Invalid) {
         r.victim = victim->line << lineShift_;
         r.victimState = victim->state;
+    } else {
+        markFilled(victim);
     }
     victim->line = line;
     victim->state = is_write ? LineState::Dirty : LineState::Shared;
@@ -243,6 +309,8 @@ Cache::install(Addr addr, LineState st)
     if (victim->state != LineState::Invalid) {
         r.victim = victim->line << lineShift_;
         r.victimState = victim->state;
+    } else {
+        markFilled(victim);
     }
     victim->line = line;
     victim->state = st;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "sim/cache.hh"
 #include "sim/machine.hh"
 
 using namespace ccnuma::sim;
@@ -211,4 +215,28 @@ TEST(MachineBasic, SubsetBarrier)
     EXPECT_EQ(r.procs[0].c.barriersPassed, 1u);
     EXPECT_EQ(r.procs[1].c.barriersPassed, 1u);
     EXPECT_EQ(r.procs[2].c.barriersPassed, 0u);
+}
+
+TEST(MachineBasic, TeardownOf4096ProcessorsKeepsPoolWithinCap)
+{
+    // A Machine has at most kMaxProcs (256) processors, so 4096 of them
+    // are 16 live p256 machines: 4096 4 MB L2s, 2 GB of way arrays.
+    // Destroying them hands every array back, and the pool must keep at
+    // most its cap idle (unmapping the rest) rather than pin 2 GB in a
+    // long-lived process.
+    {
+        std::vector<std::unique_ptr<Machine>> machines;
+        for (int i = 0; i < 4096 / kMaxProcs; ++i) {
+            machines.push_back(std::make_unique<Machine>(
+                MachineConfig::origin2000(kMaxProcs)));
+            Machine& m = *machines.back();
+            const Addr a = m.allocLine();
+            m.run([a](Cpu& cpu) -> Task {
+                cpu.write(a);
+                co_return;
+            });
+        }
+    }
+    EXPECT_GT(Cache::pooledBytes(), 0u);
+    EXPECT_LE(Cache::pooledBytes(), Cache::kPoolCapBytes);
 }

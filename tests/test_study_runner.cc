@@ -155,6 +155,39 @@ TEST(StudyRunner, SimJobsResultsMatchSerialEngine)
     }
 }
 
+TEST(StudyRunner, P128CellsIdenticalAcrossWorkerCounts)
+{
+    // Every p128 cell takes and gives back 128 pooled cache arrays, so
+    // four workers contend on the process-wide pool; under TSan this
+    // covers that path. Recycled arrays must start empty: the metrics
+    // are byte-identical to a one-worker run.
+    core::StudyPlan plan;
+    const std::pair<const char*, std::uint64_t> cells[] = {
+        {"fft", 1 << 12}, {"ocean", 34},     {"radix", 1 << 13},
+        {"water-nsq", 64}, {"volrend", 16}, {"shearwarp", 16},
+        {"fft", 1 << 10}, {"radix", 1 << 12}};
+    for (const auto& [name, size] : cells) {
+        plan.add(std::string(name) + "/" + std::to_string(size),
+                 sim::MachineConfig::origin2000(128),
+                 [name, size] { return apps::makeApp(name, size); },
+                 std::string(name) + "/" + std::to_string(size));
+    }
+    const auto metrics = [&plan](int jobs) {
+        core::StudyRunner runner({.jobs = jobs});
+        const core::StudyResult res = runner.run(plan);
+        EXPECT_EQ(res.failures(), 0u);
+        core::MetricsSink sink = core::MetricsSink::inMemory();
+        for (const core::RunOutcome& r : res.runs) {
+            sink.add(r.name, r.m.par);
+            sink.addCount(r.name, "seqTime", r.m.seqTime);
+        }
+        return sink.str(1);
+    };
+    const std::string serial = metrics(1);
+    EXPECT_EQ(metrics(4), serial);
+    EXPECT_EQ(metrics(4), serial);
+}
+
 TEST(StudyRunner, SingleFlightBaselineDedup)
 {
     // Four specs share one seq_key: the uniprocessor baseline must be
