@@ -200,21 +200,6 @@ makeApp(const std::string& name, std::uint64_t size)
     throwUnknownApp(name);
 }
 
-bool
-timingInvariant(const std::string& name)
-{
-    // Task-queue apps: TaskQueues::fullestVictim picks steal victims by
-    // scanning queue occupancy, which depends on who ran when; the
-    // dequeue order itself is contention-dependent. barnes-mergetree:
-    // each process's merge work scales with its arrival rank at the
-    // merge lock. All other apps partition work statically (by process
-    // id and problem size), so their op streams are timing-invariant.
-    return !(name == "infer" || name == "infer-static" ||
-             name == "raytrace" || name == "raytrace-nostatslock" ||
-             name == "volrend" || name == "volrend-balanced" ||
-             name == "shearwarp" || name == "barnes-mergetree");
-}
-
 const std::vector<std::string>&
 originalApps()
 {

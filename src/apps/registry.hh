@@ -47,21 +47,6 @@ std::uint64_t basicSize(const std::string& name);
 /// Human-readable unit of the size parameter ("points", "molecules"..).
 std::string sizeUnit(const std::string& name);
 
-/**
- * True when the app's operation stream (the sequence of memory, busy
- * and synchronization calls each process makes) is a pure function of
- * the program and problem size, independent of simulated timing.
- *
- * Only timing-invariant apps may run under the parallel scout/replay
- * engine (sim/parallel.hh) with bit-identical results; core::runApp
- * clamps MachineConfig::simJobs to 1 for the others. Timing-variant
- * apps are those whose work distribution is decided dynamically:
- * everything built on apps::TaskQueues (task stealing picks victims by
- * observing queue occupancy), and barnes-mergetree (per-process work
- * scales with the arrival rank at the merge lock).
- */
-bool timingInvariant(const std::string& name);
-
 /// The canonical names of the eleven applications' original versions.
 const std::vector<std::string>& originalApps();
 

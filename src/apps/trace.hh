@@ -51,7 +51,7 @@
 #include <vector>
 
 #include "apps/app.hh"
-#include "sim/oplog.hh"
+#include "sim/recorder.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma::apps {
@@ -132,8 +132,7 @@ RecordedTrace recordTrace(const sim::MachineConfig& cfg, App& app);
  * bit-identical to the recorded one. Replayed on a different machine
  * (another protocol, directory format, latencies...) it is a what-if
  * experiment over the same workload — the machine must only agree on
- * the processor count. Replay streams are timing-invariant by
- * construction, so traces may run under the parallel engine.
+ * the processor count.
  */
 class TraceReplayApp : public App
 {

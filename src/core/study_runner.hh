@@ -116,16 +116,11 @@ struct StudyResult {
 
 /** Engine knobs. */
 struct StudyOptions {
-    /// Host-thread budget; 0 = one per hardware thread. The worker
-    /// pool gets jobs / simJobs threads (at least one).
+    /// Worker threads; 0 = one per hardware thread (never more than
+    /// the plan has cells).
     int jobs = 1;
-    /// Host threads each simulation run consumes — set this to the
-    /// MachineConfig::simJobs the plan's cells use, so a study over
-    /// parallel-engine runs divides its budget instead of
-    /// oversubscribing the host (jobs stays the *total* budget).
-    /// 0 (auto: each run wants the whole machine) collapses the pool
-    /// to one worker. Runs clamped back to serial (timing-variant
-    /// apps) just leave idle headroom — never extra load.
+    /// Ignored; delete with the next benchmark change
+    /// (perfbench/measure.cc still assigns it).
     int simJobs = 1;
     /// Print one line per completed run to stderr.
     bool progress = false;

@@ -128,11 +128,6 @@ struct CheckConfig {
     /// seam; valid only for protocol=mesi + dirFormat=fullbv). Both
     /// paths must produce bit-identical runs.
     bool legacyMesiPath = false;
-    /// Force the serial engine even when simJobs asks for parallel
-    /// execution (bit-identity test seam for the node-sharded scout/
-    /// replay engine, like legacySchedulerQueue). Both engines must
-    /// produce bit-identical runs.
-    bool serialEngine = false;
 };
 
 /**
@@ -197,14 +192,6 @@ struct MachineConfig {
     /// Directory sharer representation ("fullbv"|"coarse:K"|"ptr:N").
     DirectoryConfig dirFormat;
 
-    /// DEPRECATED (one release): renamed to protocol.interventionCycles.
-    /// resolved() copies a non-default value set here into the new
-    /// field; new code should set protocol.interventionCycles directly.
-    Cycles interventionCycles = 22;
-    /// DEPRECATED (one release): renamed to
-    /// protocol.invalPerSharerCycles; see interventionCycles above.
-    Cycles invalPerSharerCycles = 4;
-
     // ---- Policies ----
     Placement placement = Placement::Explicit;
     Mapping mapping = Mapping::Linear;
@@ -237,22 +224,6 @@ struct MachineConfig {
     /// within a few transaction service times: execution-order disorder
     /// (and thus contention-clock error) is bounded by the quantum.
     Cycles quantum = 500;
-
-    /// Host threads driving one run: 1 = serial engine (default),
-    /// 0 = auto (hardware concurrency), N > 1 = one replay thread plus
-    /// up to N-1 node-sharded scout workers. The parallel engine
-    /// requires a program whose per-processor operation streams do not
-    /// depend on simulated timing (see DESIGN.md "Parallel
-    /// simulation"); core::runApp consults the app registry and falls
-    /// back to serial otherwise. Metrics are byte-identical to the
-    /// serial engine either way.
-    int simJobs = 1;
-    /// Scout time-window width in cycles; 0 = auto, the larger of the
-    /// minimum cross-node network latency (Table 1 floor) and eight
-    /// scheduler quanta. Any width is sound — sync grants are ordered
-    /// canonically at window boundaries — so the knob only trades
-    /// barrier overhead against scout-clock fidelity.
-    Cycles simWindowCycles = 0;
 
     // ---- Derived helpers ----
     int numNodes() const
@@ -299,13 +270,6 @@ struct MachineConfig {
 
     /// Validate invariants; returns an error string or empty on success.
     std::string validate() const;
-
-    /// Apply the deprecation shims: a deprecated top-level latency knob
-    /// changed from its default is copied into the protocol sub-config
-    /// (unless the sub-config was itself changed, which wins). Machine
-    /// and MemSys resolve their config copy on construction, so callers
-    /// that still set the old fields keep working for one release.
-    MachineConfig resolved() const;
 
     // ---- Named presets ----
     /// The paper's machine: an Origin2000 with `numProcs` processors

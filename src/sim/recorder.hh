@@ -8,9 +8,9 @@
  *  - the machine-building calls an application makes in setup() —
  *    alloc, barrier/lock creation, explicit page placement — in call
  *    order, and
- *  - every per-processor operation (the full OpKind alphabet of
- *    sim/oplog.hh: memory ops, busy time, yield points,
- *    synchronization) at the moment the program issues it.
+ *  - every per-processor operation (the full OpKind alphabet below:
+ *    memory ops, busy time, yield points, synchronization) at the
+ *    moment the program issues it.
  *
  * Together the two streams are a complete, replayable description of
  * the run: re-issuing the building calls in order reproduces the
@@ -20,11 +20,9 @@
  * in (config, per-processor operation streams). apps::TraceReplayApp
  * (apps/trace.hh) is that replayer.
  *
- * Recording is a serial-engine feature: Machine::run falls back to the
- * serial engine while a recorder is attached (the scout pass has its
- * own recording machinery and bypasses these taps). When no recorder
- * is attached the cost is one predictable null test per operation —
- * the same contract as the obs::Trace and SyncObserver hooks.
+ * When no recorder is attached the cost is one predictable null test
+ * per operation — the same contract as the obs::Trace and SyncObserver
+ * hooks.
  */
 
 #ifndef CCNUMA_SIM_RECORDER_HH
@@ -32,10 +30,23 @@
 
 #include <cstdint>
 
-#include "sim/oplog.hh"
 #include "sim/types.hh"
 
 namespace ccnuma::sim {
+
+/** One recorded processor operation (see Cpu for the semantics). */
+enum class OpKind : std::uint8_t {
+    Read,       ///< arg = address
+    Write,      ///< arg = address
+    Busy,       ///< arg = cycles
+    Prefetch,   ///< arg = address
+    FetchOp,    ///< arg = address
+    Rmw,        ///< arg = address
+    Checkpoint, ///< quantum yield point (no arg)
+    Barrier,    ///< arg = BarrierId::idx
+    Acquire,    ///< arg = LockId::idx
+    Release,    ///< arg = LockId::idx
+};
 
 /** Observer of machine building and the per-processor op streams. */
 class OpRecorder

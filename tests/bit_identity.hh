@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helper for the parallel-engine differential tests: assert two
- * RunResults are bit-identical, field by field.
+ * Shared helper for the differential tests: assert two RunResults are
+ * bit-identical, field by field.
  */
 
 #ifndef CCNUMA_TESTS_BIT_IDENTITY_HH
@@ -16,44 +16,44 @@
 namespace ccnuma::testutil {
 
 inline void
-expectIdentical(const sim::RunResult& serial, const sim::RunResult& par,
+expectIdentical(const sim::RunResult& oracle, const sim::RunResult& run,
                 const std::string& what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(serial.time, par.time);
-    EXPECT_EQ(serial.pageMigrations, par.pageMigrations);
-    ASSERT_EQ(serial.procs.size(), par.procs.size());
-    for (std::size_t p = 0; p < serial.procs.size(); ++p) {
+    EXPECT_EQ(oracle.time, run.time);
+    EXPECT_EQ(oracle.pageMigrations, run.pageMigrations);
+    ASSERT_EQ(oracle.procs.size(), run.procs.size());
+    for (std::size_t p = 0; p < oracle.procs.size(); ++p) {
         SCOPED_TRACE("proc " + std::to_string(p));
-        const sim::ProcTimes& st = serial.procs[p].t;
-        const sim::ProcTimes& pt = par.procs[p].t;
-        EXPECT_EQ(st.busy, pt.busy);
-        EXPECT_EQ(st.memStall, pt.memStall);
-        EXPECT_EQ(st.syncWait, pt.syncWait);
-        EXPECT_EQ(st.syncOp, pt.syncOp);
-        EXPECT_EQ(st.lockWait, pt.lockWait);
-        EXPECT_EQ(st.barrierWait, pt.barrierWait);
-        const sim::ProcCounters& sc = serial.procs[p].c;
-        const sim::ProcCounters& pc = par.procs[p].c;
-        EXPECT_EQ(sc.loads, pc.loads);
-        EXPECT_EQ(sc.stores, pc.stores);
-        EXPECT_EQ(sc.l2Hits, pc.l2Hits);
-        EXPECT_EQ(sc.missLocal, pc.missLocal);
-        EXPECT_EQ(sc.missRemoteClean, pc.missRemoteClean);
-        EXPECT_EQ(sc.missRemoteDirty, pc.missRemoteDirty);
-        EXPECT_EQ(sc.upgrades, pc.upgrades);
-        EXPECT_EQ(sc.invalsSent, pc.invalsSent);
-        EXPECT_EQ(sc.invalsReceived, pc.invalsReceived);
-        EXPECT_EQ(sc.invalsSpurious, pc.invalsSpurious);
-        EXPECT_EQ(sc.updatesSent, pc.updatesSent);
-        EXPECT_EQ(sc.updatesReceived, pc.updatesReceived);
-        EXPECT_EQ(sc.writebacks, pc.writebacks);
-        EXPECT_EQ(sc.prefetchesIssued, pc.prefetchesIssued);
-        EXPECT_EQ(sc.prefetchesUseful, pc.prefetchesUseful);
-        EXPECT_EQ(sc.pageMigrations, pc.pageMigrations);
-        EXPECT_EQ(sc.lockAcquires, pc.lockAcquires);
-        EXPECT_EQ(sc.lockContended, pc.lockContended);
-        EXPECT_EQ(sc.barriersPassed, pc.barriersPassed);
+        const sim::ProcTimes& ot = oracle.procs[p].t;
+        const sim::ProcTimes& rt = run.procs[p].t;
+        EXPECT_EQ(ot.busy, rt.busy);
+        EXPECT_EQ(ot.memStall, rt.memStall);
+        EXPECT_EQ(ot.syncWait, rt.syncWait);
+        EXPECT_EQ(ot.syncOp, rt.syncOp);
+        EXPECT_EQ(ot.lockWait, rt.lockWait);
+        EXPECT_EQ(ot.barrierWait, rt.barrierWait);
+        const sim::ProcCounters& oc = oracle.procs[p].c;
+        const sim::ProcCounters& rc = run.procs[p].c;
+        EXPECT_EQ(oc.loads, rc.loads);
+        EXPECT_EQ(oc.stores, rc.stores);
+        EXPECT_EQ(oc.l2Hits, rc.l2Hits);
+        EXPECT_EQ(oc.missLocal, rc.missLocal);
+        EXPECT_EQ(oc.missRemoteClean, rc.missRemoteClean);
+        EXPECT_EQ(oc.missRemoteDirty, rc.missRemoteDirty);
+        EXPECT_EQ(oc.upgrades, rc.upgrades);
+        EXPECT_EQ(oc.invalsSent, rc.invalsSent);
+        EXPECT_EQ(oc.invalsReceived, rc.invalsReceived);
+        EXPECT_EQ(oc.invalsSpurious, rc.invalsSpurious);
+        EXPECT_EQ(oc.updatesSent, rc.updatesSent);
+        EXPECT_EQ(oc.updatesReceived, rc.updatesReceived);
+        EXPECT_EQ(oc.writebacks, rc.writebacks);
+        EXPECT_EQ(oc.prefetchesIssued, rc.prefetchesIssued);
+        EXPECT_EQ(oc.prefetchesUseful, rc.prefetchesUseful);
+        EXPECT_EQ(oc.pageMigrations, rc.pageMigrations);
+        EXPECT_EQ(oc.lockAcquires, rc.lockAcquires);
+        EXPECT_EQ(oc.lockContended, rc.lockContended);
+        EXPECT_EQ(oc.barriersPassed, rc.barriersPassed);
     }
 }
 
