@@ -7,6 +7,7 @@
 
 #include "apps/registry.hh"
 #include "check/json.hh"
+#include "sim/types.hh"
 
 namespace ccnuma::serve {
 
@@ -161,10 +162,12 @@ parseRequest(const std::string& line)
                               "'procs' must be a non-empty array");
             for (const json::Value& e : v.arr) {
                 std::uint64_t p = 0;
-                if (!asCount(e, p) || p < 1 || p > 4096)
+                if (!asCount(e, p) || p < 1 ||
+                    p > static_cast<std::uint64_t>(sim::kMaxProcs))
                     return reject(id, "bad-request",
-                                  "'procs' entries must be integers "
-                                  "in [1, 4096]");
+                                  "'procs' entries must be integers in "
+                                  "[1, " + std::to_string(sim::kMaxProcs) +
+                                      "]");
                 req.procs.push_back(static_cast<int>(p));
             }
         } else if (key == "baseline" && study) {

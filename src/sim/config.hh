@@ -104,7 +104,12 @@ enum class CheckMutation : std::uint8_t {
 };
 
 /**
- * Verification knobs (the `ccnuma::check` subsystem).
+ * Verification knobs (the `ccnuma::check` subsystem): the two that act
+ * on the simulated machine itself. The references the simulator is
+ * checked against live outside it: the golden metrics recorded by the
+ * hard-coded MESI path before the table engine, pinned SC-stress state
+ * hashes, and the test-local heap and map that the scheduler and
+ * directory tests compare against.
  */
 struct CheckConfig {
     /// When > 0, the SC oracle attached to this machine re-runs
@@ -114,20 +119,6 @@ struct CheckConfig {
     std::uint64_t validateEvery = 0;
     /// Deliberately broken protocol transition (see CheckMutation).
     CheckMutation mutation = CheckMutation::None;
-    /// Mirror every directory operation into a reference
-    /// std::unordered_map and fail validateCoherence() on divergence —
-    /// the differential-test seam for the flat sharded directory.
-    /// Costs one map operation per directory operation when on.
-    bool shadowDirectory = false;
-    /// Drive the scheduler from the legacy std::priority_queue instead
-    /// of the calendar queue (cycle-identity test seam: both orders
-    /// must produce bit-identical runs).
-    bool legacySchedulerQueue = false;
-    /// Run MemSys::access through the preserved hard-coded MESI body
-    /// instead of the table-driven protocol engine (bit-identity test
-    /// seam; valid only for protocol=mesi + dirFormat=fullbv). Both
-    /// paths must produce bit-identical runs.
-    bool legacyMesiPath = false;
 };
 
 /**

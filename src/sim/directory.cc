@@ -1,7 +1,6 @@
 #include "sim/directory.hh"
 
 #include <bit>
-#include <sstream>
 
 namespace ccnuma::sim {
 
@@ -24,66 +23,6 @@ Directory::Directory(int numNodes, std::uint32_t pageBytes)
     shards_.reserve(shards);
     for (std::uint32_t s = 0; s < shards; ++s)
         shards_.emplace_back(/*initial_capacity=*/64);
-}
-
-DirEntry&
-Directory::shadowLookup(LineAddr line)
-{
-    flushShadow();
-    DirEntry& e = shards_[shardOf(line)][line];
-    // The caller will mutate `e` after we return; mirror it into the
-    // reference map at the *next* Directory call, when the mutations
-    // are complete and `e` has not yet been moved by a rehash/erase.
-    pendingLine_ = line;
-    pendingEntry_ = &e;
-    return e;
-}
-
-void
-Directory::flushShadow() const
-{
-    if (!pendingEntry_)
-        return;
-    shadow_[pendingLine_] = *pendingEntry_;
-    pendingEntry_ = nullptr;
-}
-
-std::string
-Directory::shadowDiff() const
-{
-    flushShadow();
-    std::ostringstream err;
-    const std::size_t flat = size();
-    if (flat != shadow_.size()) {
-        err << "directory shadow divergence: flat has " << flat
-            << " entries, reference has " << shadow_.size();
-        return err.str();
-    }
-    std::string diff;
-    forEach([&](LineAddr line, const DirEntry& e) {
-        if (!diff.empty())
-            return;
-        const auto it = shadow_.find(line);
-        if (it == shadow_.end()) {
-            std::ostringstream os;
-            os << "directory shadow divergence: line 0x" << std::hex
-               << line << " present only in flat storage";
-            diff = os.str();
-        } else if (!(it->second == e)) {
-            std::ostringstream os;
-            os << "directory shadow divergence: line 0x" << std::hex
-               << line << std::dec << " state/owner/sharers mismatch"
-               << " (flat state=" << static_cast<int>(e.state)
-               << " owner=" << e.owner
-               << " sharers=" << e.sharers.count()
-               << ", reference state="
-               << static_cast<int>(it->second.state)
-               << " owner=" << it->second.owner
-               << " sharers=" << it->second.sharers.count() << ")";
-            diff = os.str();
-        }
-    });
-    return diff;
 }
 
 } // namespace ccnuma::sim

@@ -23,8 +23,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/flat_hash.hh"
@@ -146,13 +144,6 @@ forEachFanoutTarget(const DirectoryConfig& fmt, const DirEntry& e,
  * The machine-wide directory. Entries live in per-home-shard flat hash
  * tables keyed by line address; lines never cached have no entry
  * (implicitly Uncached).
- *
- * Test seam: enableShadow(true) mirrors every operation into a
- * reference std::unordered_map (the pre-optimization representation);
- * shadowDiff() reports the first divergence. Because callers mutate
- * the reference lookup() hands out, the mirror copy is deferred to the
- * next Directory call (at which point the caller-side mutations are
- * complete and the slot has not yet moved).
  */
 class Directory
 {
@@ -170,17 +161,13 @@ class Directory
     DirEntry&
     lookup(LineAddr line)
     {
-        if (!shadowOn_) [[likely]]
-            return shards_[shardOf(line)][line];
-        return shadowLookup(line);
+        return shards_[shardOf(line)][line];
     }
 
     /// Entry if present, else nullptr (no allocation).
     const DirEntry*
     probe(LineAddr line) const
     {
-        if (shadowOn_)
-            flushShadow();
         return shards_[shardOf(line)].find(line);
     }
 
@@ -188,10 +175,6 @@ class Directory
     void
     drop(LineAddr line)
     {
-        if (shadowOn_) {
-            flushShadow();
-            shadow_.erase(line);
-        }
         shards_[shardOf(line)].erase(line);
     }
 
@@ -225,23 +208,9 @@ class Directory
     void
     forEach(Fn&& fn) const
     {
-        if (shadowOn_)
-            flushShadow();
         for (const auto& s : shards_)
             s.forEach(fn);
     }
-
-    // ---- Differential-test seam ----
-
-    /// Mirror every operation into a reference std::unordered_map.
-    /// Enable before first use (entries already present are not
-    /// back-filled).
-    void enableShadow(bool on) { shadowOn_ = on; }
-    bool shadowEnabled() const { return shadowOn_; }
-
-    /// Compare the flat storage against the reference map; empty string
-    /// when identical, else a description of the first divergence.
-    std::string shadowDiff() const;
 
   private:
     std::uint32_t
@@ -251,20 +220,9 @@ class Directory
                shardMask_;
     }
 
-    DirEntry& shadowLookup(LineAddr line);
-    void flushShadow() const;
-
     std::vector<FlatHashMap<DirEntry>> shards_;
     std::uint32_t shardMask_ = 0;
     std::uint32_t pageShift_ = 14;
-
-    // Shadow state is logically part of validation, not simulation;
-    // mutable so const readers (probe/forEach/shadowDiff) can flush
-    // the one deferred mirror write first.
-    bool shadowOn_ = false;
-    mutable std::unordered_map<LineAddr, DirEntry> shadow_;
-    mutable LineAddr pendingLine_ = 0;
-    mutable const DirEntry* pendingEntry_ = nullptr;
 };
 
 } // namespace ccnuma::sim

@@ -14,7 +14,6 @@ Machine::Machine(const MachineConfig& cfg)
     if (!err.empty())
         throw std::invalid_argument("bad MachineConfig: " + err);
     sched_.setQuantum(cfg_.quantum);
-    sched_.setLegacyQueue(cfg_.check.legacySchedulerQueue);
 }
 
 Addr

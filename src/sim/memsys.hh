@@ -295,11 +295,6 @@ class MemSys
                             std::forward<Fn>(fn));
     }
 
-    /// The preserved hard-coded MESI + full-bit-vector access body
-    /// (bit-identity seam; see CheckConfig::legacyMesiPath).
-    Cycles accessLegacy(ProcId p, Cycles now, Addr addr, bool write,
-                        ProcStats& st);
-
     /// True when observability hooks should fire. Folds to a
     /// compile-time false with -DCCNUMA_TRACING=OFF, eliding every
     /// hook from the access paths (the zero-overhead guarantee).

@@ -11,13 +11,13 @@ Scheduler::run()
 {
     const Cycles quantum = quantum_;
     while (live_ > 0) {
-        if (queueEmpty())
+        if (cal_.empty())
             throw std::runtime_error(
                 "simulator deadlock: processors blocked with no runnable "
                 "work (missing barrier participant or unreleased lock?)");
-        const SchedEvent e = queuePop();
+        const SchedEvent e = cal_.pop();
         if (state_[e.p] != State::Ready || queuedTime_[e.p] != e.time)
-            continue; // stale heap entry
+            continue; // stale entry: re-queued or blocked since
         current_ = e.p;
         Cpu& cpu = (*cpus_)[e.p];
         cpu.beginQuantum(quantum);

@@ -14,7 +14,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/calqueue.hh"
@@ -36,11 +35,6 @@ class Scheduler
         quantum_ = q;
         cal_.setSpan(q);
     }
-    /// Test seam: drive the ready list from the legacy
-    /// std::priority_queue instead of the calendar queue. Both produce
-    /// the same pop order (the cycle-identity tests prove it); the
-    /// calendar queue is simply faster. Select before spawn().
-    void setLegacyQueue(bool on) { legacy_ = on; }
     void
     spawn(ProcId p, Task::Handle h)
     {
@@ -65,10 +59,7 @@ class Scheduler
             queuedTime_.resize(p + 1, 0);
         state_[p] = State::Ready;
         queuedTime_[p] = time;
-        if (!legacy_) [[likely]]
-            cal_.push(SchedEvent{time, seq_++, p});
-        else
-            pq_.push(SchedEvent{time, seq_++, p});
+        cal_.push(SchedEvent{time, seq_++, p});
     }
     /// Mark a processor blocked on synchronization.
     void block(ProcId p) { state_[p] = State::Blocked; }
@@ -82,27 +73,11 @@ class Scheduler
   private:
     enum class State : std::uint8_t { Ready, Blocked, Done };
 
-    bool queueEmpty() const { return legacy_ ? pq_.empty() : cal_.empty(); }
-    SchedEvent
-    queuePop()
-    {
-        if (!legacy_) [[likely]]
-            return cal_.pop();
-        const SchedEvent e = pq_.top();
-        pq_.pop();
-        return e;
-    }
-
     std::vector<Cpu>* cpus_ = nullptr;
     std::vector<State> state_;
     std::vector<Task::Handle> handle_;
     std::vector<Cycles> queuedTime_;
     CalendarQueue cal_;
-    /// Legacy ready list, active only with setLegacyQueue(true).
-    std::priority_queue<SchedEvent, std::vector<SchedEvent>,
-                        SchedEventAfter>
-        pq_;
-    bool legacy_ = false;
     std::uint64_t seq_ = 0;
     int live_ = 0;
     Cycles quantum_ = 2000;

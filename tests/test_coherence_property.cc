@@ -6,6 +6,8 @@
  * patterns.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "sim/machine.hh"
@@ -20,6 +22,15 @@ struct Shape {
     std::uint64_t cacheBytes;
     int sharingLines; ///< Size of the hot shared region, in lines.
 };
+
+// Without this gtest prints the raw bytes of Shape, padding included,
+// so the test names would change from build to build.
+void
+PrintTo(const Shape& sh, std::ostream* os)
+{
+    *os << "(" << sh.procs << ", " << sh.cacheBytes << ", "
+        << sh.sharingLines << ")";
+}
 
 std::string
 shapeName(const ::testing::TestParamInfo<Shape>& info)

@@ -2,9 +2,8 @@
  * @file
  * Transition-table litmus tests: every state x event cell of every
  * shipped protocol is asserted against its textbook definition, the
- * config sub-objects round-trip through parse()/name(), and the
- * deprecation shim maps the old loose MachineConfig fields onto
- * ProtocolConfig.
+ * config sub-objects round-trip through parse()/name(), and
+ * MachineConfig::validate() rejects malformed directory formats.
  */
 
 #include <gtest/gtest.h>
@@ -200,14 +199,4 @@ TEST(MachineConfigValidate, RejectsBadProtocolDirectoryCombinations)
     EXPECT_FALSE(cfg.validate().empty());
     cfg.dirFormat.param = 4;
     EXPECT_TRUE(cfg.validate().empty());
-
-    // The legacy bit-identity seam only exists for MESI + fullbv.
-    sim::MachineConfig legacy = sim::MachineConfig::origin2000(4);
-    legacy.check.legacyMesiPath = true;
-    EXPECT_TRUE(legacy.validate().empty());
-    legacy.protocol.kind = ProtocolKind::MOESI;
-    EXPECT_FALSE(legacy.validate().empty());
-    legacy.protocol.kind = ProtocolKind::MESI;
-    legacy.dirFormat.parse("ptr:2");
-    EXPECT_FALSE(legacy.validate().empty());
 }

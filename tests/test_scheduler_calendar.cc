@@ -1,16 +1,17 @@
 /**
  * @file
- * Property and identity tests for the calendar-queue scheduler ready
- * list.
+ * Property tests for the calendar-queue scheduler ready list.
  *
  * The contract (see sim/calqueue.hh): as long as no event is pushed
  * with a time earlier than the last popped event's bucket — which the
  * scheduler guarantees, since a processor is re-queued at or after the
  * time it just ran to — pop order is EXACTLY the (time, seq) order of
- * the legacy std::priority_queue. The property test drives randomized
- * push/pop traces with quantum-bounded disorder against both a sorted
- * oracle and the heap; the identity test runs every registered app on
- * both ready-list implementations and requires cycle-exact agreement.
+ * a std::priority_queue. That heap is the scheduler's original ready
+ * list; it lives on here as the test-local reference (`Heap`). The
+ * property tests drive randomized push/pop traces with quantum-bounded
+ * disorder against both a sorted oracle and the heap. Cycle identity
+ * on the real apps is pinned by tests/golden/metrics-v1.json, which
+ * was recorded with the heap before the calendar queue existed.
  */
 
 #include <cstdint>
@@ -20,9 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/registry.hh"
-#include "check/golden.hh"
-#include "core/study.hh"
 #include "sim/calqueue.hh"
 
 namespace {
@@ -141,54 +139,6 @@ TEST(CalendarQueue, PastPushStillPopsBeforeLaterEvents)
     EXPECT_EQ(cal.pop().p, 2);
     EXPECT_EQ(cal.pop().p, 3);
     EXPECT_TRUE(cal.empty());
-}
-
-// ---- cycle identity on the real scheduler ----
-
-TEST(SchedulerCalendar, CycleIdenticalToLegacyHeapOnAllApps)
-{
-    // Both ready-list implementations must produce the same execution,
-    // cycle for cycle and counter for counter, on every registered app.
-    const int procs = 8;
-    for (const std::string& name : ccnuma::apps::listApps()) {
-        const std::uint64_t size = ccnuma::check::goldenSize(name);
-        ccnuma::sim::MachineConfig cal =
-            ccnuma::sim::MachineConfig::origin2000(procs);
-        ccnuma::sim::MachineConfig legacy = cal;
-        legacy.check.legacySchedulerQueue = true;
-
-        auto appA = ccnuma::apps::makeApp(name, size);
-        const ccnuma::sim::RunResult a =
-            ccnuma::core::runApp(cal, *appA);
-        auto appB = ccnuma::apps::makeApp(name, size);
-        const ccnuma::sim::RunResult b =
-            ccnuma::core::runApp(legacy, *appB);
-
-        EXPECT_EQ(a.time, b.time) << name;
-        ASSERT_EQ(a.procs.size(), b.procs.size()) << name;
-        for (std::size_t p = 0; p < a.procs.size(); ++p) {
-            EXPECT_EQ(a.procs[p].c.loads, b.procs[p].c.loads)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].c.stores, b.procs[p].c.stores)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].c.l2Hits, b.procs[p].c.l2Hits)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].c.missLocal, b.procs[p].c.missLocal)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].c.missRemoteClean,
-                      b.procs[p].c.missRemoteClean)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].c.missRemoteDirty,
-                      b.procs[p].c.missRemoteDirty)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].t.busy, b.procs[p].t.busy)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].t.memStall, b.procs[p].t.memStall)
-                << name << " p" << p;
-            EXPECT_EQ(a.procs[p].t.syncWait, b.procs[p].t.syncWait)
-                << name << " p" << p;
-        }
-    }
 }
 
 } // namespace

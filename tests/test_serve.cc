@@ -23,6 +23,7 @@
 #include "serve/net.hh"
 #include "serve/server.hh"
 #include "serve/wire.hh"
+#include "sim/types.hh"
 
 namespace {
 
@@ -217,6 +218,15 @@ TEST(Serve, BadRequestsAreTypedAndSpecific)
         R"({"id":"x","type":"study","app":"nope","procs":[2]})",
         "unknown app");
     expectBad(R"({"id":"x","type":"study","app":"fft"})", "procs");
+    // procs is bounded by the simulator's own limit, so a count the
+    // Machine would refuse never reaches a worker.
+    const std::string procsReq =
+        R"({"id":"x","type":"study","app":"fft","procs":[)";
+    expectBad(procsReq + std::to_string(sim::kMaxProcs + 1) + "]}",
+              "[1, " + std::to_string(sim::kMaxProcs) + "]");
+    const serve::ParsedRequest atLimit = serve::parseRequest(
+        procsReq + std::to_string(sim::kMaxProcs) + "]}");
+    EXPECT_TRUE(atLimit.ok) << atLimit.detail;
     expectBad(
         R"({"id":"x","type":"study","app":"fft","procs":[2],"protocol":"x"})",
         "protocol");

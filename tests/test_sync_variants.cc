@@ -5,6 +5,9 @@
  * identical, costs must rank as expected.
  */
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/machine.hh"
@@ -19,12 +22,24 @@ struct SyncParam {
 };
 
 std::string
+label(const SyncParam& p)
+{
+    std::string s = p.kind == SyncKind::LLSC ? "LLSC" : "FetchOp";
+    s += p.alg == BarrierAlg::Tournament ? "_Tournament" : "_Centralized";
+    return s;
+}
+
+std::string
 paramName(const ::testing::TestParamInfo<SyncParam>& info)
 {
-    std::string s = info.param.kind == SyncKind::LLSC ? "LLSC" : "FetchOp";
-    s += info.param.alg == BarrierAlg::Tournament ? "_Tournament"
-                                                  : "_Centralized";
-    return s;
+    return label(info.param);
+}
+
+// Without this gtest prints SyncParam as a raw byte dump.
+void
+PrintTo(const SyncParam& p, std::ostream* os)
+{
+    *os << label(p);
 }
 
 } // namespace
